@@ -99,8 +99,10 @@ runDarco(const guest::Program &prog, const Config &extra, bool timing)
         power::PowerModel pm(cfg);
         volatile double e = pm.analyze(tstats).totalEnergyJ;
         (void)e;
-        return core->instructions();
     }
+    // Retired guest instructions in every cell; the timing model's
+    // record count (host plus synthesized TOL instructions) is not a
+    // guest rate.
     return ctl.tol().completedInsts();
 }
 

@@ -29,6 +29,18 @@ namespace darco
  * (the translation registry under the async translator, code-cache
  * eviction bookkeeping) can bump counters without data races; no
  * ordering is implied between counters.
+ *
+ * inc() is a lock-prefixed fetch_add and is safe from any number of
+ * writer threads. incSingleWriter() is a relaxed load plus a relaxed
+ * store: cheaper, and still race-free for concurrent readers, but it
+ * loses updates if two threads write the same counter. Use it only on
+ * a single-writer StatGroup. The timing models' groups are one: every
+ * timing::InOrderCore owns the StatGroup it is built with (one per
+ * campaign job, sampling run or bench program), and its caches, TLBs,
+ * predictors and prefetcher are fed only by that core's record() /
+ * recordConcurrent(), which the simulation thread calls. A Tol's or
+ * Controller's group is not: async translator workers bump registry
+ * and code-cache counters in it, so those use inc().
  */
 class Counter
 {
@@ -43,6 +55,12 @@ class Counter
     }
 
     void inc(u64 by = 1) { value_.fetch_add(by, std::memory_order_relaxed); }
+    void
+    incSingleWriter(u64 by = 1)
+    {
+        value_.store(value_.load(std::memory_order_relaxed) + by,
+                     std::memory_order_relaxed);
+    }
     void set(u64 v) { value_.store(v, std::memory_order_relaxed); }
     void reset() { value_.store(0, std::memory_order_relaxed); }
     u64 value() const { return value_.load(std::memory_order_relaxed); }

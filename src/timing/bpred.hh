@@ -22,7 +22,8 @@ class Gshare
   public:
     Gshare(u32 entries, u32 history_bits, StatGroup &stats)
         : table_(entries, 1), mask_(entries - 1),
-          histMask_((1u << history_bits) - 1)
+          // A history at least as wide as the register keeps it all.
+          histMask_(history_bits >= 32 ? ~0u : (1u << history_bits) - 1)
     {
         darco_assert((entries & (entries - 1)) == 0,
                      "gshare table must be power-of-two");
@@ -40,7 +41,7 @@ class Gshare
     bool
     update(u32 pc, bool taken)
     {
-        lookups_->inc();
+        lookups_->incSingleWriter();
         u32 i = index(pc);
         bool pred = table_[i] >= 2;
         if (taken && table_[i] < 3)
@@ -50,7 +51,7 @@ class Gshare
         history_ = ((history_ << 1) | (taken ? 1 : 0)) & histMask_;
         bool miss = pred != taken;
         if (miss)
-            mispredicts_->inc();
+            mispredicts_->incSingleWriter();
         return miss;
     }
 
@@ -88,11 +89,11 @@ class Btb
     {
         const Entry &e = entries_[(pc >> 2) & mask_];
         if (e.tag == pc) {
-            hits_->inc();
+            hits_->incSingleWriter();
             target = e.target;
             return true;
         }
-        misses_->inc();
+        misses_->incSingleWriter();
         return false;
     }
 

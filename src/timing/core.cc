@@ -1,7 +1,5 @@
 #include "timing/core.hh"
 
-#include <algorithm>
-
 #include "common/schema.hh"
 
 namespace darco::timing
@@ -65,6 +63,7 @@ InOrderCore::InOrderCore(const Config &cfg, StatGroup &stats)
     fpPool_.assign(conf::getUint(cfg, "core.num_fp"), 0);
     memPool_.assign(conf::getUint(cfg, "core.num_mem_ports"), 0);
     iqRing_.assign(iqSize_, 0);
+    fetchLineShift_ = l1i_->lineShift();
 
     // Concurrent translator threads modeled for the overlap (the
     // async pipeline's virtual-time schedule uses the same knob).
@@ -88,38 +87,27 @@ void
 InOrderCore::recordConcurrent(u64 host_insts)
 {
     translatorInsts_ += host_insts;
-    cTranslatorInsts_->inc(host_insts);
+    // Translator threads run on spare hardware at ~1 IPC each; the
+    // run ends when both the main core and the translators finish.
+    translatorCycles_ = (translatorInsts_ + vthreads_ - 1) / vthreads_;
+    cTranslatorInsts_->incSingleWriter(host_insts);
     cCycles_->set(cycles());
-}
-
-Cycle
-InOrderCore::reserveFu(std::vector<Cycle> &pool, Cycle when, Cycle busy)
-{
-    // Earliest-available unit; in-order issue waits for it.
-    std::size_t best = 0;
-    for (std::size_t u = 1; u < pool.size(); ++u) {
-        if (pool[u] < pool[best])
-            best = u;
-    }
-    Cycle start = std::max(when, pool[best]);
-    pool[best] = start + busy;
-    return start;
 }
 
 void
 InOrderCore::record(const InstRecord &rec)
 {
     ++instructions_;
-    cInsts_->inc();
+    cInsts_->incSingleWriter();
 
     // ---- front end -----------------------------------------------------
-    u64 line = rec.pc / l1i_->lineBytes();
+    u64 line = rec.pc >> fetchLineShift_;
     if (line != lastFetchLine_) {
         lastFetchLine_ = line;
         Cycle lat = itlb_->access(rec.pc) + l1i_->access(rec.pc, false);
         Cycle ready = fetchCycle_ + lat;
         if (lat > 1)
-            cFetchStallCycles_->inc(lat - 1);
+            cFetchStallCycles_->incSingleWriter(lat - 1);
         lineReady_ = std::max(lineReady_, ready);
     }
     if (fetchedThisCycle_ >= fetchWidth_) {
@@ -137,10 +125,8 @@ InOrderCore::record(const InstRecord &rec)
 
     // ---- back end: in-order issue --------------------------------------
     Cycle ready = enter;
-    if (rec.src1 != noReg)
-        ready = std::max(ready, regReady_[rec.src1]);
-    if (rec.src2 != noReg)
-        ready = std::max(ready, regReady_[rec.src2]);
+    ready = std::max(ready, regReady_[rec.src1]);
+    ready = std::max(ready, regReady_[rec.src2]);
     // In-order constraint.
     ready = std::max(ready, issueCycle_);
 
@@ -150,23 +136,23 @@ InOrderCore::record(const InstRecord &rec)
       case InstClass::IntMul:
         issue = reserveFu(complexPool_, ready, 1);
         lat = latMul_;
-        cMulOps_->inc();
+        cMulOps_->incSingleWriter();
         break;
       case InstClass::IntDiv:
         issue = reserveFu(complexPool_, ready, latDiv_); // unpipelined
         lat = latDiv_;
-        cDivOps_->inc();
+        cDivOps_->incSingleWriter();
         break;
       case InstClass::FpAlu:
       case InstClass::FpMul:
         issue = reserveFu(fpPool_, ready, 1);
         lat = latFp_;
-        cFpOps_->inc();
+        cFpOps_->incSingleWriter();
         break;
       case InstClass::FpDiv:
         issue = reserveFu(fpPool_, ready, latFpDiv_);
         lat = latFpDiv_;
-        cFpOps_->inc();
+        cFpOps_->incSingleWriter();
         break;
       case InstClass::Load:
       case InstClass::Store: {
@@ -176,14 +162,14 @@ InOrderCore::record(const InstRecord &rec)
                                   rec.cls == InstClass::Store);
         prefetcher_->observe(rec.pc, rec.memAddr);
         lat = mlat;
-        cMemOps_->inc();
+        cMemOps_->incSingleWriter();
         break;
       }
       case InstClass::Branch:
       case InstClass::Jump: {
         issue = reserveFu(aluPool_, ready, 1);
         lat = latBranch_;
-        cBranches_->inc();
+        cBranches_->incSingleWriter();
         bool mispredict = false;
         if (rec.cls == InstClass::Branch) {
             mispredict = gshare_->update(rec.pc, rec.taken);
@@ -208,7 +194,7 @@ InOrderCore::record(const InstRecord &rec)
       default:
         issue = reserveFu(aluPool_, ready, 1);
         lat = latAlu_;
-        cAluOps_->inc();
+        cAluOps_->incSingleWriter();
         break;
     }
 
@@ -229,18 +215,10 @@ InOrderCore::record(const InstRecord &rec)
 
     // IQ slot recycles at issue.
     iqRing_[iqHead_] = issue;
-    iqHead_ = (iqHead_ + 1) % iqSize_;
+    if (++iqHead_ == iqSize_)
+        iqHead_ = 0;
 
     cCycles_->set(cycles());
-}
-
-Cycle
-InOrderCore::cycles() const
-{
-    // Translator threads run on spare hardware at ~1 IPC each; the
-    // run ends when both the main core and the translators finish.
-    Cycle translator = (translatorInsts_ + vthreads_ - 1) / vthreads_;
-    return std::max(lastRetire_, translator);
 }
 
 } // namespace darco::timing

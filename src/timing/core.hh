@@ -35,6 +35,7 @@
 #ifndef DARCO_TIMING_CORE_HH
 #define DARCO_TIMING_CORE_HH
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <vector>
@@ -67,7 +68,7 @@ class InOrderCore : public host::TraceSink
      * per cycle each, so the run takes
      * max(main-core cycles, translator insts / vthreads).
      */
-    Cycle cycles() const;
+    Cycle cycles() const { return std::max(lastRetire_, translatorCycles_); }
     u64 instructions() const { return instructions_; }
     double ipc() const
     {
@@ -79,7 +80,19 @@ class InOrderCore : public host::TraceSink
 
   private:
     /** Reserve the earliest unit of a pool at or after `when`. */
-    Cycle reserveFu(std::vector<Cycle> &pool, Cycle when, Cycle busy);
+    static Cycle
+    reserveFu(std::vector<Cycle> &pool, Cycle when, Cycle busy)
+    {
+        // Earliest-available unit; in-order issue waits for it.
+        std::size_t best = 0;
+        for (std::size_t u = 1; u < pool.size(); ++u) {
+            if (pool[u] < pool[best])
+                best = u;
+        }
+        Cycle start = std::max(when, pool[best]);
+        pool[best] = start + busy;
+        return start;
+    }
 
     StatGroup &stats_;
 
@@ -95,6 +108,7 @@ class InOrderCore : public host::TraceSink
     std::unique_ptr<StridePrefetcher> prefetcher_;
 
     // Front-end state.
+    u32 fetchLineShift_; //!< log2(L1I line bytes)
     Cycle fetchCycle_ = 0;
     u32 fetchedThisCycle_ = 0;
     u64 lastFetchLine_ = ~0ull;
@@ -108,7 +122,9 @@ class InOrderCore : public host::TraceSink
     // Back-end state.
     Cycle issueCycle_ = 0;
     u32 issuedThisCycle_ = 0;
-    std::array<Cycle, 128> regReady_{};
+    // Result-ready cycle per register, indexed by any u8 register id.
+    // The noReg slot is never written, so an absent source reads 0.
+    std::array<Cycle, 256> regReady_{};
     std::vector<Cycle> aluPool_, complexPool_, fpPool_, memPool_;
     Cycle lastRetire_ = 0;
 
@@ -117,6 +133,7 @@ class InOrderCore : public host::TraceSink
     // Concurrent-translator overlap model.
     u64 translatorInsts_ = 0;
     u32 vthreads_ = 1;
+    Cycle translatorCycles_ = 0; //!< ceil(translatorInsts_ / vthreads_)
 
     // Event counters for the power model.
     Counter *cCycles_;

@@ -51,7 +51,7 @@ class StridePrefetcher
         if (e.confidence >= 2 && stride != 0 && target_) {
             for (u32 d = 1; d <= degree_; ++d) {
                 target_->prefetch(u32(s32(addr) + stride * s32(d)));
-                issued_->inc();
+                issued_->incSingleWriter();
             }
         }
     }

@@ -16,7 +16,12 @@
 namespace darco::timing
 {
 
-/** One fully-associative TLB level. */
+/**
+ * One fully-associative TLB level. A VPN is unique among the valid
+ * entries (an entry is filled only after a miss on it), so the lookup
+ * may try the entry hit or filled last first without changing the
+ * outcome.
+ */
 class TlbLevel
 {
   public:
@@ -30,14 +35,16 @@ class TlbLevel
     bool
     access(u32 vpn)
     {
-        for (auto &e : entries_) {
+        Entry &m = entries_[mru_];
+        if (m.valid && m.vpn == vpn)
+            return hit(m);
+        for (Entry &e : entries_) {
             if (e.valid && e.vpn == vpn) {
-                e.lru = ++tick_;
-                hits_->inc();
-                return true;
+                mru_ = u32(&e - entries_.data());
+                return hit(e);
             }
         }
-        misses_->inc();
+        misses_->incSingleWriter();
         // Fill (LRU victim).
         Entry *victim = &entries_[0];
         for (auto &e : entries_) {
@@ -51,6 +58,7 @@ class TlbLevel
         victim->valid = true;
         victim->vpn = vpn;
         victim->lru = ++tick_;
+        mru_ = u32(victim - entries_.data());
         return false;
     }
 
@@ -61,7 +69,17 @@ class TlbLevel
         bool valid = false;
         u64 lru = 0;
     };
+
+    bool
+    hit(Entry &e)
+    {
+        e.lru = ++tick_;
+        hits_->incSingleWriter();
+        return true;
+    }
+
     std::vector<Entry> entries_;
+    u32 mru_ = 0; //!< index of the entry hit or filled last
     u64 tick_ = 0;
     Counter *hits_;
     Counter *misses_;

@@ -2,7 +2,7 @@
  * @file
  * Asynchronous-translation-pipeline tests (ctest label: concurrency;
  * CI additionally runs this binary under ThreadSanitizer via
- * -DDARCO_TSAN=ON).
+ * -DDARCO_SANITIZE=thread).
  *
  * - determinism: simulated results are a pure function of the config,
  *   not of tol.async.threads (real workers), repetition, or host

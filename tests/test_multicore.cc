@@ -1,7 +1,7 @@
 /**
  * @file
  * Multi-core guest tests (ctest label: concurrency; CI additionally
- * runs this binary under ThreadSanitizer via -DDARCO_TSAN=ON).
+ * runs this binary under ThreadSanitizer via -DDARCO_SANITIZE=thread).
  *
  * N guest hardware contexts share one TOL — one translation registry,
  * code cache, eviction clock, and async translator — while each core

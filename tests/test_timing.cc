@@ -103,6 +103,32 @@ TEST(CacheModel, WritebackOnDirtyEvict)
     EXPECT_EQ(st.value("c.writebacks"), 1u);
 }
 
+TEST(CacheModel, ImpossibleGeometryIsAUserError)
+{
+    // Each key is valid on its own; together they leave no set.
+    StatGroup st("t");
+    for (const char *bad : {"l1d.assoc=64", "cache.line=4096"}) {
+        SCOPED_TRACE(bad);
+        Config cfg({"l1d.size=1024", bad});
+        EXPECT_THROW((void)InOrderCore(cfg, st), FatalError);
+        try {
+            InOrderCore core(cfg, st);
+        } catch (const FatalError &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("l1d.size=1024"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("l1d.assoc="), std::string::npos) << msg;
+            EXPECT_NE(msg.find("cache.line="), std::string::npos) << msg;
+        }
+    }
+    EXPECT_THROW((void)Cache("c", 4096, 3, 64, 1, 50, nullptr, st),
+                 FatalError)
+        << "non-pow2 associativity";
+    EXPECT_THROW((void)Cache("c", 4096, 1, 48, 1, 50, nullptr, st),
+                 FatalError)
+        << "non-pow2 line";
+}
+
 TEST(TlbModel, TwoLevelLatencies)
 {
     StatGroup st("t");
@@ -125,6 +151,35 @@ TEST(BpredModel, GshareLearnsLoopPattern)
     for (int i = 0; i < 100; ++i)
         g.update(0x400, true);
     EXPECT_EQ(st.value("bpred.mispredicts"), before);
+}
+
+TEST(BpredModel, HistoryWiderThan32BitsKeepsAllOfIt)
+{
+    // Loop-exit pattern: taken 11 times, then not taken. A history of
+    // 8 bits cannot see where in the run of takens it is; 12 or more
+    // bits (the 4096-entry table's index width) can. Histories of 32
+    // and more bits must keep the whole register; a wrapped shift count
+    // would make history 40 behave as history 8.
+    auto run = [](const char *hist, u64 &mispredicts) {
+        StatGroup st("t");
+        InOrderCore core(Config({hist}), st);
+        for (int i = 0; i < 6000; ++i) {
+            core.record(alu(0x1000, 5, 6, 7));
+            core.record(branch(0x1004, i % 12 != 11, 0x1000));
+        }
+        mispredicts = st.value("bpred.mispredicts");
+        return core.cycles();
+    };
+    u64 m8 = 0, m31 = 0, m32 = 0, m40 = 0;
+    run("bpred.history=8", m8);
+    Cycle c31 = run("bpred.history=31", m31);
+    Cycle c32 = run("bpred.history=32", m32);
+    Cycle c40 = run("bpred.history=40", m40);
+    EXPECT_LT(m31, m8) << "the stream must need more than 8 bits";
+    EXPECT_EQ(c40, c31);
+    EXPECT_EQ(m40, m31);
+    EXPECT_EQ(c32, c31);
+    EXPECT_EQ(m32, m31);
 }
 
 TEST(BpredModel, BtbRemembersTargets)

@@ -241,9 +241,3 @@ TEST(TimingGolden, PinnedResultsUnchanged)
         }
     }
 }
-
-TEST(TimingGolden, TableCoversEveryCase)
-{
-    std::size_t n = sizeof(kGolden) / sizeof(kGolden[0]);
-    EXPECT_EQ(n, std::size(kPrograms) * goldenConfigs().size());
-}

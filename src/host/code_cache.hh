@@ -13,28 +13,79 @@
  * The cache only manages words; translation bookkeeping (entry maps,
  * chaining, the LRU eviction clock) lives in tol::TranslationRegistry.
  *
+ * Beside the words the cache keeps a predecoded HInst mirror, which
+ * install() and setWord() (chaining patches) write together with the
+ * word, so the host emulator never decodes on its fetch path. A word
+ * that does not decode is mirrored as an HInst whose op is
+ * HOp::NumOps; executing it raises the decoder's error, installing it
+ * does not. Both stores are anonymous zero pages: a cache costs
+ * nothing to build, and a word never written reads as 0, a NOP.
+ *
  * Thread safety: structural operations (alloc/release/install/flush
  * and the occupancy queries) serialize on an internal mutex; the word
- * store itself is an array of relaxed atomics, so readers (the host
- * emulator's fetch path, invariant checkers) never race writers. The
- * publication edge for freshly-installed regions is the registry's
- * lock: a region's words are fully stored before its translation is
- * added, and every consumer discovers the region through a registry
- * lookup.
+ * store itself is an array of relaxed atomics, so readers (invariant
+ * checkers) never race writers. The mirror is plain memory: it is
+ * written only through install()/setWord() and read only by the host
+ * emulator, all on the simulation thread. The publication edge for
+ * freshly-installed regions is the registry's lock: a region's words
+ * are fully stored before its translation is added, and every
+ * consumer discovers the region through a registry lookup.
  */
 
 #ifndef DARCO_HOST_CODE_CACHE_HH
 #define DARCO_HOST_CODE_CACHE_HH
 
+#include <sys/mman.h>
+
 #include <atomic>
-#include <memory>
 #include <mutex>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
+#include "host/hisa.hh"
 
 namespace darco::host
 {
+
+/**
+ * A fixed array of n trivially destructible T over an anonymous
+ * private mapping. The kernel hands out zero-filled pages on first
+ * touch, so building the array writes nothing and its elements read
+ * as all-zero bytes until set.
+ */
+template <typename T>
+class ZeroPages
+{
+    static_assert(std::is_trivially_destructible_v<T>);
+
+  public:
+    explicit ZeroPages(std::size_t n) : bytes_(n * sizeof(T))
+    {
+        if (bytes_ == 0)
+            return;
+        void *p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        data_ = static_cast<T *>(p);
+    }
+    ~ZeroPages()
+    {
+        if (data_)
+            munmap(data_, bytes_);
+    }
+    ZeroPages(const ZeroPages &) = delete;
+    ZeroPages &operator=(const ZeroPages &) = delete;
+
+    T &operator[](std::size_t i) { return data_[i]; }
+    const T &operator[](std::size_t i) const { return data_[i]; }
+
+  private:
+    std::size_t bytes_;
+    T *data_ = nullptr;
+};
 
 /** Region-allocating host-code store addressed by word index. */
 class CodeCache
@@ -43,8 +94,8 @@ class CodeCache
     static constexpr u32 npos = ~0u;
 
     explicit CodeCache(u32 capacity_words = 1u << 20)
-        : capacity_(capacity_words),
-          words_(new std::atomic<u32>[capacity_words]())
+        : capacity_(capacity_words), words_(capacity_words),
+          insts_(capacity_words)
     {
         holes_.push_back(Hole{0, capacity_});
     }
@@ -107,7 +158,7 @@ class CodeCache
         if (base == npos)
             return npos;
         for (std::size_t i = 0; i < region.size(); ++i)
-            words_[base + i].store(region[i], std::memory_order_relaxed);
+            store(base + u32(i), region[i]);
         return base;
     }
 
@@ -117,11 +168,11 @@ class CodeCache
         return words_[idx].load(std::memory_order_relaxed);
     }
 
-    void
-    setWord(u32 idx, u32 w)
-    {
-        words_[idx].store(w, std::memory_order_relaxed);
-    }
+    /** The decoded word at idx; op is HOp::NumOps if it does not
+     *  decode. Simulation thread only. */
+    const HInst &inst(u32 idx) const { return insts_[idx]; }
+
+    void setWord(u32 idx, u32 w) { store(idx, w); }
 
     u32
     used() const
@@ -180,6 +231,18 @@ class CodeCache
     }
 
   private:
+    void
+    store(u32 idx, u32 w)
+    {
+        words_[idx].store(w, std::memory_order_relaxed);
+        if ((w >> 24) < u32(HOp::NumOps)) {
+            insts_[idx] = hdecode(w);
+        } else {
+            insts_[idx] = HInst();
+            insts_[idx].op = HOp::NumOps;
+        }
+    }
+
     /** One free range; the list is sorted by base and coalesced. */
     struct Hole
     {
@@ -219,8 +282,14 @@ class CodeCache
     u32 capacity_;
     u32 used_ = 0;
     /** Fixed-size atomic word store (no lazy growth: atomics cannot
-     *  be moved by a vector resize while readers are live). */
-    std::unique_ptr<std::atomic<u32>[]> words_;
+     *  be moved by a vector resize while readers are live). An
+     *  all-zero std::atomic<u32> holds 0. */
+    ZeroPages<std::atomic<u32>> words_;
+    static_assert(std::atomic<u32>::is_always_lock_free &&
+                  sizeof(std::atomic<u32>) == sizeof(u32));
+    /** Predecoded mirror of words_; all-zero bytes are a NOP. */
+    ZeroPages<HInst> insts_;
+    static_assert(u8(HOp::NOP) == 0);
     std::vector<Hole> holes_;
     u64 flushCount_ = 0;
     u64 releases_ = 0;

@@ -338,7 +338,9 @@ HostEmu::run(u32 host_pc, u64 max_insts)
             if (n >= max_insts)
                 return finish(ExitKind::Budget);
 
-            const HInst i = hdecode(cache_.word(pc));
+            const HInst i = cache_.inst(pc);
+            if (i.op == HOp::NumOps)
+                hdecode(cache_.word(pc)); // raises the decode error
             u32 next = pc + 1;
             ++n;
             ++sinceMark_;

@@ -55,7 +55,10 @@ void
 CostModel::charge(Overhead cat, u64 n)
 {
     totals_[unsigned(cat)] += n;
-    stats_.counter(std::string("tol.ov_") + overheadName(cat)).inc(n);
+    Counter *&c = counters_[unsigned(cat)];
+    if (!c)
+        c = &stats_.counter(std::string("tol.ov_") + overheadName(cat));
+    c->inc(n);
     if (!sink_)
         return;
     // Critical-path charges join the core's dynamic stream; work on a

@@ -133,6 +133,13 @@ class CostModel
 
     StatGroup &stats_;
     std::array<u64, unsigned(Overhead::NumCats)> totals_{};
+    /**
+     * The "tol.ov_<category>" counter of each category, resolved on
+     * that category's first charge. Resolving lazily keeps the
+     * StatGroup key set what it was with by-name lookups: a category
+     * that is never charged has no counter.
+     */
+    std::array<Counter *, unsigned(Overhead::NumCats)> counters_{};
     host::TraceSink *sink_ = nullptr;
     u32 synthPc_ = 0;
 

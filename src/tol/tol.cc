@@ -548,8 +548,19 @@ Tol::interpretStep()
     // the exit point is attributed to `entry` in the BBV (the syscall
     // path attributes its own instruction in handleSyscall).
     u64 bbvBefore = completedInsts_;
-    for (;;) {
-        GInst gi = fetchGuest(core.state.pc);
+    for (std::size_t k = 0;; ++k) {
+        // Inside the block, its decoded elements are what fetchGuest
+        // would return (neither decode cache is ever invalidated).
+        // Past its end (a REP boundary, the size cap) decode on.
+        GInst fetched;
+        const GInst *inst;
+        if (k < bb.elems.size() && bb.elems[k].pc == core.state.pc) {
+            inst = &bb.elems[k].inst;
+        } else {
+            fetched = fetchGuest(core.state.pc);
+            inst = &fetched;
+        }
+        const GInst &gi = *inst;
         ExecOut out;
         for (;;) {
             try {

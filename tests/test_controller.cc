@@ -70,6 +70,22 @@ TEST(Controller, FullSystemRunValidates)
     EXPECT_GT(ctl.stats().value("sync.validations"), 0u);
 }
 
+// Only charged overhead categories have a counter: a synchronous run
+// never charges the concurrent translator, an async run does.
+TEST(Controller, OverheadCountersOnlyForChargedCategories)
+{
+    Controller sync(testCfg());
+    sync.load(synthesize(smallWorkload(11)));
+    sync.run();
+    EXPECT_TRUE(sync.stats().hasCounter("tol.ov_interpreter"));
+    EXPECT_FALSE(sync.stats().hasCounter("tol.ov_concurrent_translator"));
+
+    Controller async(testCfg({"tol.async.threads=1"}));
+    async.load(synthesize(smallWorkload(11)));
+    async.run();
+    EXPECT_GT(async.stats().value("tol.ov_concurrent_translator"), 0u);
+}
+
 TEST(Controller, DemandPagingIsLazy)
 {
     // The co-designed component must hold only the pages it touched;

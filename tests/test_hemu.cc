@@ -66,6 +66,61 @@ TEST(HostEmu, AluBasics)
     EXPECT_EQ(r.emu.ctx().gpr[21], 0u);
 }
 
+// The emulator executes the code cache's predecoded mirror. A word
+// patched after install, as chaining does, executes as the new
+// instruction.
+TEST(HostEmu, PatchedWordExecutesAsNewInstruction)
+{
+    HostRig r;
+    HAsm a;
+    a.emit(HOp::ADDI, 15, 0, 0, 1);
+    a.emit(HOp::EXITB, 0, 0, 0, 1);
+    u32 pc = r.install(a);
+    EXPECT_EQ(r.run(pc).exitId, 1u);
+    EXPECT_EQ(r.emu.ctx().gpr[15], 1u);
+
+    r.cache.setWord(pc, hencode(HInst{HOp::ADDI, 15, 0, 0, 2}));
+    r.cache.setWord(pc + 1, hencode(HInst{HOp::EXITB, 0, 0, 0, 2}));
+    EXPECT_EQ(r.run(pc).exitId, 2u);
+    EXPECT_EQ(r.emu.ctx().gpr[15], 2u);
+}
+
+// Installing a word that does not decode is fine; only executing it
+// raises the decoder's error.
+TEST(HostEmu, UndecodableWordPanicsOnlyWhenExecuted)
+{
+    HostRig r;
+    HAsm a;
+    a.emit(HOp::EXITB, 0, 0, 0, 3);
+    std::vector<u32> words = a.words();
+    words.push_back(0xdeadbeefu);
+    u32 pc = r.cache.install(words);
+    EXPECT_EQ(r.cache.word(pc + 1), 0xdeadbeefu);
+    EXPECT_EQ(r.run(pc).exitId, 3u);
+    try {
+        r.run(pc + 1);
+        FAIL() << "executing an undecodable word did not panic";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("bad host opcode byte"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// A word never written reads as 0, which is a NOP: running into
+// unwritten code executes NOPs until the budget ends.
+TEST(HostEmu, UnwrittenWordsAreNops)
+{
+    CodeCache cache(1u << 22);
+    guest::PagedMemory mem;
+    HostEmu emu(cache, mem);
+    EXPECT_EQ(cache.word(123457), 0u);
+    EXPECT_EQ(cache.inst(123457).op, HOp::NOP);
+    ExitInfo e = emu.run(4'000'000, 10);
+    EXPECT_EQ(e.kind, ExitKind::Budget);
+    EXPECT_EQ(e.instsExecuted, 10u);
+}
+
 TEST(HostEmu, ZeroRegisterIsHardwired)
 {
     HostRig r;

@@ -499,6 +499,9 @@ runJob(const Job &job, const RunOptions &opts)
     } catch (const std::exception &e) {
         r.ok = false;
         r.error = e.what();
+    } catch (const guest::GuestFault &f) {
+        r.ok = false;
+        r.error = guest::describe(f);
     }
 
     auto t1 = std::chrono::steady_clock::now();
@@ -737,6 +740,9 @@ runSampledJob(const Job &job, const RunOptions &opts)
     } catch (const std::exception &e) {
         r.ok = false;
         r.error = e.what();
+    } catch (const guest::GuestFault &f) {
+        r.ok = false;
+        r.error = guest::describe(f);
     }
 
     auto t1 = std::chrono::steady_clock::now();

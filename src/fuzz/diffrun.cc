@@ -203,10 +203,7 @@ diffRun(const Program &prog, u64 seed, const DiffOptions &opts)
         } catch (const sim::DivergenceError &de) {
             out.error = std::string("divergence: ") + de.what();
         } catch (const GuestFault &gf) {
-            std::ostringstream os;
-            os << "guest fault at pc 0x" << std::hex << gf.pc << ": "
-               << gf.msg;
-            out.error = os.str();
+            out.error = describe(gf);
         } catch (const std::exception &e) {
             out.error = e.what();
         }

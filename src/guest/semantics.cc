@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cfenv>
 #include <cmath>
+#include <sstream>
 
 #include "common/logging.hh"
 
@@ -94,6 +95,14 @@ gcvtfi(double x)
     if (std::isnan(x) || x >= 2147483648.0 || x < -2147483648.0)
         return s32(0x8000'0000);
     return s32(std::trunc(x));
+}
+
+std::string
+describe(const GuestFault &f)
+{
+    std::ostringstream os;
+    os << "guest fault at pc 0x" << std::hex << f.pc << ": " << f.msg;
+    return os.str();
 }
 
 GInst

@@ -53,6 +53,9 @@ struct GuestFault
     const char *msg;
 };
 
+/** "guest fault at pc 0x<pc>: <msg>" */
+std::string describe(const GuestFault &f);
+
 /**
  * Execute one decoded instruction against architectural state.
  *

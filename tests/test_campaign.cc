@@ -15,6 +15,7 @@
 
 #include "campaign/campaign.hh"
 #include "common/logging.hh"
+#include "guest/asm.hh"
 #include "workloads/synth.hh"
 
 using namespace darco;
@@ -290,6 +291,33 @@ TEST(Campaign, JobFailureIsCapturedNotThrown)
     EXPECT_NE(res.results[0].error.find("cc.policy"),
               std::string::npos);
     EXPECT_TRUE(res.results[1].ok) << res.results[1].error;
+}
+
+// A guest fault is a plain struct, not a std::exception: the job
+// boundary must still turn it into a failed row naming the faulting
+// pc, in both the full and the sampled path, instead of letting it
+// terminate the process.
+TEST(Campaign, GuestFaultFailsTheJobNotTheProcess)
+{
+    guest::Assembler a;
+    a.movri(guest::RAX, 1);
+    a.movri(guest::RBX, 0);
+    a.idivrr(guest::RAX, guest::RBX);
+    a.hlt();
+    Job job;
+    job.workload = "div0";
+    job.configName = "fullopt";
+    job.program = a.finish("div0");
+    for (SampleMode mode : {SampleMode::Full, SampleMode::SimPoint}) {
+        RunOptions opts;
+        opts.sampleMode = mode;
+        JobResult r = runJob(job, opts);
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.error.find("guest fault at pc 0x"), std::string::npos)
+            << r.error;
+        EXPECT_NE(r.error.find("division by zero"), std::string::npos)
+            << r.error;
+    }
 }
 
 // Two concurrent writers storing different complete images at the

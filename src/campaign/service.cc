@@ -381,6 +381,38 @@ struct Coordinator::Impl
 
     // --- per-connection protocol loop --------------------------------
 
+    /**
+     * Close a connection that was sent `shutdown` without resetting it.
+     * A worker asleep in a `wait` still sends `next` when it wakes, and
+     * pings meanwhile; if those frames reached a closed socket, the
+     * reset could cost the worker its queued shutdown. So half-close,
+     * then read and drop the worker's frames until it hangs up. A
+     * worker that keeps the connection open past one wait period and
+     * one heartbeat is dropped anyway. stop() interrupts the drain.
+     */
+    void
+    drainAfterShutdown(net::Socket &sock)
+    {
+        sock.shutdownWrite();
+        Clock::time_point until =
+            Clock::now() +
+            std::chrono::milliseconds(opts.waitDelayMs + opts.heartbeatMs);
+        try {
+            std::string payload;
+            for (;;) {
+                auto left = std::chrono::duration_cast<
+                                std::chrono::milliseconds>(until -
+                                                           Clock::now())
+                                .count();
+                if (left <= 0 ||
+                    net::recvFrame(sock, payload, int(left)) !=
+                        net::RecvStatus::Ok)
+                    return;
+            }
+        } catch (const net::NetError &) {
+        }
+    }
+
     void
     serveConnection(net::Socket sock)
     {
@@ -394,6 +426,7 @@ struct Coordinator::Impl
         std::optional<std::size_t> assigned;
         Clock::time_point deadline{};
         bool leaseReturned = false; // assigned already requeued
+        bool sentShutdown = false;
         Clock::time_point lastSeen = Clock::now();
 
         try {
@@ -411,6 +444,7 @@ struct Coordinator::Impl
                             net::sendFrame(
                                 sock,
                                 wire::encode(wire::msg::shutdown));
+                            sentShutdown = true;
                         } catch (const net::NetError &) {
                         }
                         break;
@@ -499,8 +533,10 @@ struct Coordinator::Impl
                     std::string reply = nextAssignment(
                         &assigned, &deadline, &isShutdown);
                     net::sendFrame(sock, reply);
-                    if (isShutdown)
+                    if (isShutdown) {
+                        sentShutdown = true;
                         break;
+                    }
                 } else if (m.type == wire::msg::ckptGet) {
                     std::string key = m.d.rstr();
                     std::string image;
@@ -550,6 +586,8 @@ struct Coordinator::Impl
         } catch (const snapshot::SnapshotError &) {
             // Malformed message from the peer: drop the connection.
         }
+        if (sentShutdown)
+            drainAfterShutdown(sock);
 
         {
             std::lock_guard<std::mutex> g(mutex);
@@ -794,6 +832,22 @@ class RemoteStore : public CheckpointStore
     std::mutex &sendMu_;
 };
 
+/** Is a `shutdown` among the frames already received on sock? */
+bool
+shutdownQueued(net::Socket &sock)
+{
+    try {
+        std::string payload;
+        while (net::recvFrame(sock, payload, 0) == net::RecvStatus::Ok) {
+            if (wire::Decoder(payload).type == wire::msg::shutdown)
+                return true;
+        }
+    } catch (const net::NetError &) {
+    } catch (const snapshot::SnapshotError &) {
+    }
+    return false;
+}
+
 } // namespace
 
 int
@@ -882,7 +936,16 @@ runWorker(const WorkerOptions &wopts)
                                   }));
             } else if (m.type == wire::msg::wait) {
                 sleepMs(m.d.r64());
-                send(wire::encode(wire::msg::next));
+                try {
+                    send(wire::encode(wire::msg::next));
+                } catch (const net::NetError &) {
+                    // The campaign may have ended while we slept: the
+                    // coordinator's shutdown is then queued here, ahead
+                    // of the closed connection, and this is a clean end.
+                    if (shutdownQueued(sock))
+                        rc = 0;
+                    break;
+                }
             } else if (m.type == wire::msg::shutdown) {
                 rc = 0;
                 break;

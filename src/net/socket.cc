@@ -67,6 +67,13 @@ Socket::shutdownBoth()
 }
 
 void
+Socket::shutdownWrite()
+{
+    if (fd_ >= 0)
+        ::shutdown(fd_, SHUT_WR);
+}
+
+void
 Socket::sendAll(const void *data, std::size_t len)
 {
     const char *p = static_cast<const char *>(data);

@@ -76,6 +76,13 @@ class Socket
      */
     void shutdownBoth();
 
+    /**
+     * Half-close the sending direction only: the peer reads EOF after
+     * everything already sent, and this side can still read what the
+     * peer sends until it hangs up.
+     */
+    void shutdownWrite();
+
     /** Send exactly `len` bytes; throws NetError on any failure. */
     void sendAll(const void *data, std::size_t len);
 

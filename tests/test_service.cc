@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -188,6 +190,21 @@ struct RawClient
     ping()
     {
         net::sendFrame(sock, wire::encode(wire::msg::ping));
+    }
+
+    /** Deliver a result; returns the type of the coordinator's reply. */
+    std::string
+    deliver(u64 idx, const JobResult &r)
+    {
+        net::sendFrame(sock, wire::encode(wire::msg::result,
+                                          [&](snapshot::Serializer &s) {
+                                              s.w64(idx);
+                                              wire::writeResult(s, r);
+                                          }));
+        std::string payload;
+        EXPECT_EQ(net::recvFrame(sock, payload, 5000),
+                  net::RecvStatus::Ok);
+        return wire::Decoder(payload).type;
     }
 };
 
@@ -512,6 +529,85 @@ TEST(ServiceBackpressure, WindowOfOneStillCompletes)
     // With two workers racing one dispatch slot, the loser was told
     // to wait at least once.
     EXPECT_GE(coord.waitsIssued(), 1u);
+}
+
+// A worker told to `wait` while the last job is still out sleeps
+// through the end of the campaign and pings meanwhile; its connection
+// thread sends `shutdown` as soon as the last result lands. When the
+// worker wakes and asks for work again, it must read that shutdown and
+// end with rc=0, not die on a connection the coordinator has closed.
+TEST(ServiceShutdown, WorkerWaitingWhenLastResultLandsExitsCleanly)
+{
+    std::vector<Job> jobs = matrix6();
+    jobs.resize(1);
+
+    ServiceOptions svc;
+    svc.waitDelayMs = 1500; // asleep well past the campaign's end
+    svc.heartbeatMs = 400;  // pinging while asleep
+    Coordinator coord(jobs, svc);
+
+    RawClient holder;
+    holder.connect(coord.port(), "holder");
+    if (::testing::Test::HasFatalFailure())
+        return;
+    u64 idx = holder.takeJob();
+
+    int rc = -1;
+    std::thread w = spawnWorker(coord.port(), "sleeper", &rc);
+    while (coord.waitsIssued() == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+    JobResult r;
+    r.workload = jobs[idx].workload;
+    r.configName = jobs[idx].configName;
+    r.ok = true;
+    EXPECT_EQ(holder.deliver(idx, r), wire::msg::shutdown);
+    CampaignResult res = coord.wait();
+    w.join();
+
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(coord.completedJobs(), 1u);
+    ASSERT_EQ(res.results.size(), 1u);
+    EXPECT_EQ(res.results[0].workerId, "holder");
+}
+
+// The worker half of the same race, against a coordinator that does
+// not drain: it queues `wait` and `shutdown`, then resets the
+// connection while the worker sleeps. The worker's `next` then hits a
+// dead socket, but the shutdown already sits in its receive queue, so
+// this is still a clean end.
+TEST(ServiceShutdown, WorkerReadsQueuedShutdownBehindReset)
+{
+    net::Listener listener("127.0.0.1", 0);
+    int rc = -1;
+    std::thread w = spawnWorker(listener.port(), "sleeper", &rc);
+
+    std::optional<net::Socket> conn = listener.accept(5000);
+    ASSERT_TRUE(conn.has_value());
+    std::string payload;
+    ASSERT_EQ(net::recvFrame(*conn, payload, 5000), net::RecvStatus::Ok);
+    EXPECT_EQ(wire::Decoder(payload).type, wire::msg::hello);
+    net::sendFrame(*conn, wire::encode(wire::msg::welcome,
+                                       [](snapshot::Serializer &s) {
+                                           s.w32(wire::protoVersion);
+                                           s.wstr("sleeper");
+                                           wire::writeRunOptions(
+                                               s, RunOptions{});
+                                           s.w64(60'000); // heartbeat
+                                           s.wbool(false);
+                                       }));
+    ASSERT_EQ(net::recvFrame(*conn, payload, 5000), net::RecvStatus::Ok);
+    EXPECT_EQ(wire::Decoder(payload).type, wire::msg::next);
+    net::sendFrame(*conn, wire::encode(wire::msg::wait,
+                                       [](snapshot::Serializer &s) {
+                                           s.w64(300);
+                                       }));
+    net::sendFrame(*conn, wire::encode(wire::msg::shutdown));
+    linger hard{1, 0}; // close with a reset, not a FIN
+    ::setsockopt(conn->fd(), SOL_SOCKET, SO_LINGER, &hard, sizeof hard);
+    conn->close();
+    w.join();
+    EXPECT_EQ(rc, 0);
 }
 
 TEST(Wire, JobAndResultRoundTrip)

@@ -158,7 +158,7 @@ verifyRegion(const Region &r)
                         std::size_t k) {
         if (v < 0 || v >= r.numValues) {
             err() << "item " << k << ": " << what << " value " << v
-                << " out of range; ";
+                  << " out of range; ";
             return;
         }
         if (!defined[v]) {
@@ -167,7 +167,7 @@ verifyRegion(const Region &r)
         }
         if (defined[v] != (want_fp ? 2 : 1)) {
             err() << "item " << k << ": v" << v << " type mismatch ("
-                << what << "); ";
+                  << what << "); ";
         }
     };
 
@@ -232,7 +232,7 @@ verifyRegion(const Region &r)
                 err() << "item " << k << ": dst out of range; ";
             } else if (defined[i.dst]) {
                 err() << "item " << k << ": v" << i.dst
-                    << " defined twice (SSA violation); ";
+                      << " defined twice (SSA violation); ";
             } else {
                 defined[i.dst] = fp_dst ? 2 : 1;
             }
@@ -250,10 +250,10 @@ verifyRegion(const Region &r)
             }
             if (v < 0 || v >= r.numValues || !defined[v]) {
                 err() << "exit " << e << ": liveout v" << v
-                    << " undefined; ";
+                      << " undefined; ";
             } else if ((defined[v] == 2) != locIsFp(loc)) {
                 err() << "exit " << e << ": liveout loc" << loc
-                    << " type mismatch; ";
+                      << " type mismatch; ";
             }
         }
         if (x.kind == ExitKind::Indirect) {
